@@ -1,6 +1,6 @@
 """Ablations over LambdaML's design choices (beyond the paper's tables).
 
-DESIGN.md calls out several constants the system is sensitive to; these
+The simulator has several constants the system is sensitive to; these
 benches quantify each one on the LR/Higgs workload:
 
 * ADMM local scans per round (communication/computation tradeoff);

@@ -3,7 +3,7 @@
 Each benchmark regenerates one table/figure of the paper at a scale
 that finishes in seconds-to-minutes, then writes the formatted rows to
 `benchmarks/reports/<name>.txt` — those files are the reproduction
-record referenced by EXPERIMENTS.md.
+record (see the README intro).
 """
 
 from __future__ import annotations

@@ -23,14 +23,13 @@ under ``<root>/traces``), shared with any other sweep against that root.
 
 from __future__ import annotations
 
-import json
 import os
 from dataclasses import dataclass
 from pathlib import Path
 
 from repro.config import DEFAULT_SEED
 from repro.core.config import TrainingConfig
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, SimulationError
 from repro.api.scenario import Scenario
 from repro.service.arrivals import JobRequest, build_requests
 from repro.service.config import ServiceConfig, service_fingerprint
@@ -42,6 +41,7 @@ from repro.service.metrics import (
 from repro.service.runtime import BaselineProvider, ServiceRuntime
 from repro.service.schedulers import make_scheduler
 from repro.utils.hashing import fingerprint_hash
+from repro.utils.records import read_record, write_record
 
 
 @dataclass
@@ -69,6 +69,24 @@ class ServiceOutcome:
     def report(self) -> str:
         """The rendered per-job table + service scorecard."""
         return format_service_report(self.data)
+
+
+def resume_or_run(
+    directory: Path | None, report_hash: str, resume: bool, validate, build
+) -> tuple[dict, Path | None, bool]:
+    """Load and validate the filed report, or build, validate and file it.
+
+    Returns ``(report, path, built)``. The report facades share this
+    path; a partial or tampered report raises SimulationError.
+    """
+    path = None if directory is None else directory / f"{report_hash}.json"
+    if resume and path is not None and path.exists():
+        report = read_record(path, SimulationError)
+        return validate(report, expected_hash=report_hash), path, False
+    report = validate(build(), expected_hash=report_hash)
+    if directory is not None:
+        write_record(directory, report_hash, report)
+    return report, path, True
 
 
 def _workload_fingerprint(
@@ -189,11 +207,6 @@ class Service:
         return requests
 
     # -- internals ---------------------------------------------------------
-    def _report_path(self, workload_hash: str) -> Path | None:
-        if self.root is None:
-            return None
-        return self.root / "service" / f"{workload_hash}.json"
-
     def _baselines(self, requests: list[JobRequest]) -> BaselineProvider:
         """An isolated-run provider, primed from disk when rooted.
 
@@ -242,29 +255,17 @@ class Service:
         if self.config is not None:
             fingerprint["service"] = service_fingerprint(self.config)
         workload_hash = fingerprint_hash(fingerprint)
-        path = self._report_path(workload_hash)
 
-        if self.resume and path is not None and path.exists():
-            with path.open(encoding="utf-8") as fh:
-                report = json.load(fh)
-            validate_report(report, expected_hash=workload_hash)
-            return ServiceOutcome(data=report, ran_jobs=0, path=path)
-
-        runtime = ServiceRuntime(
-            requests,
-            make_scheduler(self.scheduler),
-            self.max_concurrent,
-            self._baselines(requests),
-        )
-        records = runtime.run()
-        report = build_report(workload_hash, fingerprint, records)
-        validate_report(report, expected_hash=workload_hash)
-        if path is not None:
-            path.parent.mkdir(parents=True, exist_ok=True)
-            tmp = path.with_suffix(".json.tmp")
-            tmp.write_text(
-                json.dumps(report, sort_keys=True, indent=1) + "\n",
-                encoding="utf-8",
+        def build() -> dict:
+            runtime = ServiceRuntime(
+                requests, make_scheduler(self.scheduler), self.max_concurrent,
+                self._baselines(requests),
             )
-            os.replace(tmp, path)
-        return ServiceOutcome(data=report, ran_jobs=len(records), path=path)
+            return build_report(workload_hash, fingerprint, runtime.run())
+
+        directory = None if self.root is None else self.root / "service"
+        report, path, built = resume_or_run(
+            directory, workload_hash, self.resume, validate_report, build
+        )
+        ran = len(report["tenants"]) if built else 0
+        return ServiceOutcome(data=report, ran_jobs=ran, path=path)

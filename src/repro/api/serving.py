@@ -19,11 +19,11 @@ nothing. ``repro.cli infer`` is a thin wrapper over this class.
 
 from __future__ import annotations
 
-import json
 import os
 from dataclasses import dataclass
 from pathlib import Path
 
+from repro.api.service import resume_or_run
 from repro.core.config import TrainingConfig
 from repro.errors import ConfigurationError
 from repro.serving.config import ServingConfig, serving_fingerprint, serving_hash
@@ -34,7 +34,7 @@ from repro.serving.metrics import (
 )
 from repro.serving.registry import ModelRegistry
 from repro.serving.runtime import ServingRuntime
-from repro.sweep.grid import SweepPoint, config_hash
+from repro.sweep.grid import SweepPoint
 
 
 @dataclass
@@ -99,11 +99,6 @@ class ServingSession:
         return cls(root, config=config, **kwargs)
 
     # -- internals ---------------------------------------------------------
-    def _report_path(self, pipeline_hash: str) -> Path | None:
-        if self.root is None:
-            return None
-        return self.root / "serving" / f"{pipeline_hash}.json"
-
     def _train(self) -> dict:
         """The training leg, as a persisted (or in-memory) artifact."""
         training = TrainingConfig(**self.config.train_kwargs())
@@ -118,10 +113,9 @@ class ServingSession:
             from repro.sweep.artifacts import artifact_from_result
 
             return artifact_from_result(point, train(training))
-        from repro.sweep.artifacts import scan_artifacts
         from repro.sweep.orchestrator import run_sweep
 
-        run_sweep(
+        return run_sweep(
             [point],
             out_dir=self.root / "models",
             jobs=self.jobs,
@@ -129,36 +123,24 @@ class ServingSession:
             substrate=self.substrate,
             traces_dir=self.root / "traces",
             progress=self.progress,
-        )
-        artifacts, _ = scan_artifacts(self.root / "models")
-        return artifacts[config_hash(training)]
+        ).artifacts[0]
 
     # -- the verb ----------------------------------------------------------
     def run(self) -> ServingOutcome:
         """Train, register, serve (or load the persisted report)."""
-        fingerprint = serving_fingerprint(self.config)
         pipeline_hash = serving_hash(self.config)
-        path = self._report_path(pipeline_hash)
 
-        if self.resume and path is not None and path.exists():
-            with path.open(encoding="utf-8") as fh:
-                report = json.load(fh)
-            validate_serving_report(report, expected_hash=pipeline_hash)
-            return ServingOutcome(data=report, ran_requests=0, path=path)
-
-        registry = ModelRegistry()
-        entry = registry.register_artifact("pipeline", self._train())
-        records, pool = ServingRuntime(self.config, entry).run()
-        report = build_serving_report(
-            pipeline_hash, fingerprint, entry.as_dict(), records, pool
-        )
-        validate_serving_report(report, expected_hash=pipeline_hash)
-        if path is not None:
-            path.parent.mkdir(parents=True, exist_ok=True)
-            tmp = path.with_suffix(".json.tmp")
-            tmp.write_text(
-                json.dumps(report, sort_keys=True, indent=1) + "\n",
-                encoding="utf-8",
+        def build() -> dict:
+            entry = ModelRegistry().register_artifact("pipeline", self._train())
+            records, pool = ServingRuntime(self.config, entry).run()
+            fingerprint = serving_fingerprint(self.config)
+            return build_serving_report(
+                pipeline_hash, fingerprint, entry.as_dict(), records, pool
             )
-            os.replace(tmp, path)
-        return ServingOutcome(data=report, ran_requests=len(records), path=path)
+
+        directory = None if self.root is None else self.root / "serving"
+        report, path, built = resume_or_run(
+            directory, pipeline_hash, self.resume, validate_serving_report, build
+        )
+        ran = len(report["requests"]) if built else 0
+        return ServingOutcome(data=report, ran_requests=ran, path=path)

@@ -3,7 +3,7 @@
 Each experiment returns rows of python primitives; these helpers render
 them as aligned tables that mirror the paper's tables/figure captions,
 so `pytest benchmarks/ --benchmark-only` output doubles as the
-reproduction record in EXPERIMENTS.md.
+reproduction record under `benchmarks/reports/` (see the README intro).
 """
 
 from __future__ import annotations

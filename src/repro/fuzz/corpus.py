@@ -19,15 +19,17 @@ byte of the original failure.
 
 from __future__ import annotations
 
-import json
 import os
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 from repro.errors import FuzzError
 from repro.fuzz.invariants import INVARIANTS
+from repro.utils.records import check_record, read_record, scan_records, write_record
 
 CORPUS_SCHEMA_VERSION = 1
+
+_SHAPE = {"invariant": str, "config_kwargs": dict, "scenario_id": str, "message": str}
 
 #: The tree-relative corpus replayed by tier-1 (tests/test_fuzz_corpus.py).
 DEFAULT_CORPUS_DIR = (
@@ -53,45 +55,44 @@ class CorpusEntry:
 
 def save_entry(corpus_dir: str | os.PathLike, entry: CorpusEntry) -> Path:
     """Write ``entry`` atomically as ``<invariant>-<seed>-<index>.json``."""
-    directory = Path(corpus_dir)
-    directory.mkdir(parents=True, exist_ok=True)
-    path = directory / f"{entry.name}.json"
-    tmp = path.with_suffix(".json.tmp")
-    tmp.write_text(json.dumps(asdict(entry), indent=2, sort_keys=True) + "\n")
-    os.replace(tmp, path)
-    return path
+    return write_record(corpus_dir, entry.name, asdict(entry))
 
 
 def load_entry(path: str | os.PathLike) -> CorpusEntry:
-    path = Path(path)
-    try:
-        raw = json.loads(path.read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        raise FuzzError(f"unreadable corpus entry {path}: {exc}") from exc
-    schema = raw.get("schema")
-    if schema != CORPUS_SCHEMA_VERSION:
-        raise FuzzError(
-            f"corpus entry {path.name} has schema {schema!r} "
-            f"(this engine reads schema {CORPUS_SCHEMA_VERSION})"
-        )
-    try:
-        return CorpusEntry(
-            invariant=raw["invariant"],
-            config_kwargs=dict(raw["config_kwargs"]),
-            scenario_id=raw["scenario_id"],
-            message=raw["message"],
-            shrunk_fields=list(raw.get("shrunk_fields", [])),
-        )
-    except KeyError as exc:
-        raise FuzzError(f"corpus entry {path.name} is missing field {exc}") from exc
+    raw = check_record(
+        read_record(path, FuzzError), error=FuzzError, schemas=(CORPUS_SCHEMA_VERSION,),
+        shape=_SHAPE, hash_key=None, fingerprint_key=None, expected_hash=None,
+    )
+    return CorpusEntry(
+        invariant=raw["invariant"],
+        config_kwargs=dict(raw["config_kwargs"]),
+        scenario_id=raw["scenario_id"],
+        message=raw["message"],
+        shrunk_fields=list(raw.get("shrunk_fields", [])),
+    )
+
+
+def _load_filed_entry(path: Path, name: str) -> CorpusEntry:
+    entry = load_entry(path)
+    if entry.name != name:
+        raise FuzzError(f"corpus entry {entry.name} filed under {name}")
+    return entry
+
+
+def scan_corpus(corpus_dir: str | os.PathLike) -> tuple[dict, list[Path]]:
+    """Index a corpus directory: ``(name -> entry, corrupt paths)``."""
+    return scan_records(corpus_dir, _load_filed_entry)
 
 
 def load_corpus(corpus_dir: str | os.PathLike = DEFAULT_CORPUS_DIR) -> list[CorpusEntry]:
-    """All entries of a corpus directory, sorted by filename."""
-    directory = Path(corpus_dir)
-    if not directory.is_dir():
-        return []
-    return [load_entry(path) for path in sorted(directory.glob("*.json"))]
+    """All entries of a corpus directory, sorted by filename.
+
+    An unusable entry is an error, never skipped: it is a lost test.
+    """
+    entries, corrupt = scan_corpus(corpus_dir)
+    if corrupt:
+        raise FuzzError(f"unusable corpus entries: {[str(p) for p in corrupt]}")
+    return list(entries.values())
 
 
 def replay_entry(entry: CorpusEntry) -> str | None:

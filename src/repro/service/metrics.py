@@ -8,8 +8,14 @@ byte-identical across hosts and across serial/pooled baseline runs.
 from __future__ import annotations
 
 from repro.errors import SimulationError
+from repro.utils.records import check_record
 
 REPORT_SCHEMA_VERSION = 1
+
+_SHAPE = {
+    "kind": str, "service_hash": str, "service": dict,
+    "tenants": list, "metrics": dict,
+}
 
 
 def percentile(values: list[float], q: float) -> float:
@@ -87,22 +93,13 @@ def build_report(
 
 
 def validate_report(report: dict, expected_hash: str | None = None) -> dict:
-    """Shape-check a loaded report (resume path); raises on mismatch."""
-    required = {"schema", "kind", "service_hash", "service", "tenants", "metrics"}
-    if not isinstance(report, dict) or not required <= set(report):
-        missing = required - set(report) if isinstance(report, dict) else required
-        raise SimulationError(f"service report missing sections: {sorted(missing)}")
-    if report["schema"] != REPORT_SCHEMA_VERSION:
-        raise SimulationError(
-            f"service report schema {report['schema']} != {REPORT_SCHEMA_VERSION}"
-        )
-    if report["kind"] != "service_report":
-        raise SimulationError(f"not a service report: kind={report['kind']!r}")
-    if expected_hash is not None and report["service_hash"] != expected_hash:
-        raise SimulationError(
-            f"service report hash {report['service_hash']} != {expected_hash}"
-        )
-    if not isinstance(report["tenants"], list) or not report["tenants"]:
+    """Check a report; one filed under a hash must also hash to it."""
+    check_record(
+        report, error=SimulationError, schemas=(REPORT_SCHEMA_VERSION,), shape=_SHAPE,
+        hash_key="service_hash", expected_hash=expected_hash,
+        fingerprint_key=None if expected_hash is None else "service",
+    )
+    if not report["tenants"]:
         raise SimulationError("service report has no tenant records")
     return report
 

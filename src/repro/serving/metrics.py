@@ -9,8 +9,14 @@ from __future__ import annotations
 
 from repro.errors import SimulationError
 from repro.service.metrics import percentile
+from repro.utils.records import check_record
 
 SERVING_SCHEMA_VERSION = 1
+
+_SHAPE = {
+    "kind": str, "serving_hash": str, "serving": dict, "model": dict,
+    "requests": list, "pool": dict, "metrics": dict, "end_to_end_dollars": float,
+}
 
 
 def serving_metrics(records: list[dict], pool: dict) -> dict:
@@ -62,25 +68,13 @@ def build_serving_report(
 
 
 def validate_serving_report(report: dict, expected_hash: str | None = None) -> dict:
-    """Shape-check a loaded serving report (resume path); raises on mismatch."""
-    required = {
-        "schema", "kind", "serving_hash", "serving", "model",
-        "requests", "pool", "metrics", "end_to_end_dollars",
-    }
-    if not isinstance(report, dict) or not required <= set(report):
-        missing = required - set(report) if isinstance(report, dict) else required
-        raise SimulationError(f"serving report missing sections: {sorted(missing)}")
-    if report["schema"] != SERVING_SCHEMA_VERSION:
-        raise SimulationError(
-            f"serving report schema {report['schema']} != {SERVING_SCHEMA_VERSION}"
-        )
-    if report["kind"] != "serving_report":
-        raise SimulationError(f"not a serving report: kind={report['kind']!r}")
-    if expected_hash is not None and report["serving_hash"] != expected_hash:
-        raise SimulationError(
-            f"serving report hash {report['serving_hash']} != {expected_hash}"
-        )
-    if not isinstance(report["requests"], list) or not report["requests"]:
+    """Check a serving report; one filed under a hash must also hash to it."""
+    check_record(
+        report, error=SimulationError, schemas=(SERVING_SCHEMA_VERSION,), shape=_SHAPE,
+        hash_key="serving_hash", expected_hash=expected_hash,
+        fingerprint_key=None if expected_hash is None else "serving",
+    )
+    if not report["requests"]:
         raise SimulationError("serving report has no request records")
     return report
 

@@ -32,21 +32,25 @@ fingerprint: any config sharing the fingerprint must record the same
 trace bit for bit (the substrate tests assert exactly that), which is
 why one trace can be replayed across a whole systems grid.
 
-Writes are atomic (tmp file + ``os.replace``), mirroring the sweep
-artifact store: an interrupted phase-0 recording never leaves a
+Traces live in the shared record store (:mod:`repro.utils.records`),
+like sweep artifacts: an interrupted phase-0 recording never leaves a
 half-written ``traces/<stat_hash>.json``.
 """
 
 from __future__ import annotations
 
-import json
 import os
 from pathlib import Path
 
 from repro.errors import SubstrateError
-from repro.utils.hashing import fingerprint_hash
+from repro.utils.records import check_record, read_record, scan_records, write_record
 
 TRACE_SCHEMA_VERSION = 1
+
+_SHAPE = {
+    "stat_hash": str, "stat_fingerprint": dict, "reduce": str,
+    "ranks": list, "meta": dict,
+}
 
 _RANK_KEYS = {
     "epochs_per_round", "round_work", "eval_work",
@@ -64,70 +68,29 @@ def trace_path(traces_dir: str | os.PathLike, stat_hash: str) -> Path:
 
 def write_trace(traces_dir: str | os.PathLike, trace: dict) -> Path:
     """Atomically persist a trace as ``<stat_hash>.json``."""
-    out = Path(traces_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    path = trace_path(out, trace["stat_hash"])
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(json.dumps(trace, sort_keys=True, indent=1) + "\n")
-    os.replace(tmp, path)
-    return path
+    return write_record(traces_dir, trace["stat_hash"], trace)
 
 
 def validate_trace(trace: dict, expected_hash: str | None = None) -> dict:
     """Check schema, shape, and hash integrity; raise TraceError."""
-    if not isinstance(trace, dict):
-        raise TraceError(f"trace is {type(trace).__name__}, not an object")
-    if trace.get("schema") != TRACE_SCHEMA_VERSION:
-        raise TraceError(f"schema {trace.get('schema')!r} != {TRACE_SCHEMA_VERSION}")
-    shape = {
-        "stat_hash": str, "stat_fingerprint": dict, "reduce": str,
-        "ranks": list, "meta": dict,
-    }
-    missing = shape.keys() - trace.keys()
-    if missing:
-        raise TraceError(f"missing keys: {sorted(missing)}")
-    for key, expected_type in shape.items():
-        if not isinstance(trace[key], expected_type):
-            raise TraceError(
-                f"{key!r} is {type(trace[key]).__name__}, not {expected_type.__name__}"
-            )
+    check_record(
+        trace, error=TraceError, schemas=(TRACE_SCHEMA_VERSION,), shape=_SHAPE,
+        hash_key="stat_hash", fingerprint_key="stat_fingerprint",
+        expected_hash=expected_hash,
+    )
     if not trace["ranks"]:
         raise TraceError("trace has no per-rank records")
     for rank, record in enumerate(trace["ranks"]):
         if not isinstance(record, dict) or not _RANK_KEYS <= record.keys():
             raise TraceError(f"rank {rank} record is missing keys")
-    recomputed = fingerprint_hash(trace["stat_fingerprint"])
-    if recomputed != trace["stat_hash"]:
-        raise TraceError(
-            f"stat hash mismatch: recorded {trace['stat_hash']}, fingerprint "
-            f"hashes to {recomputed} (stale or tampered trace)"
-        )
-    if expected_hash is not None and trace["stat_hash"] != expected_hash:
-        raise TraceError(f"trace {trace['stat_hash']} filed under {expected_hash}")
     return trace
 
 
 def load_trace(path: str | os.PathLike, expected_hash: str | None = None) -> dict:
     """Load + validate one trace file; TraceError when unusable."""
-    path = Path(path)
-    try:
-        trace = json.loads(path.read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        raise TraceError(f"{path.name}: unreadable/partial JSON ({exc})") from exc
-    return validate_trace(trace, expected_hash=expected_hash)
+    return validate_trace(read_record(path, TraceError), expected_hash)
 
 
 def scan_traces(traces_dir: str | os.PathLike) -> tuple[dict[str, dict], list[Path]]:
     """Index a trace directory: ``(stat_hash -> trace, corrupt paths)``."""
-    out = Path(traces_dir)
-    completed: dict[str, dict] = {}
-    corrupt: list[Path] = []
-    if not out.is_dir():
-        return completed, corrupt
-    for path in sorted(out.glob("*.json")):
-        expected = path.stem
-        try:
-            completed[expected] = load_trace(path, expected_hash=expected)
-        except TraceError:
-            corrupt.append(path)
-    return completed, corrupt
+    return scan_records(traces_dir, load_trace)

@@ -20,8 +20,7 @@ Layout:
   ``aggregate`` / ``format_report``), the ``@study`` registration
   decorator and auto-discovery over :mod:`repro.experiments`; every
   figure/table/extension is a registered study the CLI and
-  :mod:`repro.api` run by name (:mod:`repro.sweep.registry` is the
-  back-compat view).
+  :mod:`repro.api` run by name.
 """
 
 from repro.sweep.artifacts import (

@@ -2,8 +2,7 @@
 
 These exercise the same code paths as the benchmark harness but with
 small worker counts / epoch caps so the whole file runs in seconds.
-The *shape* assertions here are the reproduction's acceptance criteria
-(see EXPERIMENTS.md).
+The *shape* assertions here are the reproduction's acceptance criteria.
 """
 
 from __future__ import annotations

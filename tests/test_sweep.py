@@ -36,9 +36,9 @@ from repro.sweep.artifacts import (
 )
 from repro.sweep.grid import SweepPoint, config_hash, dedupe_points, expand_grid
 from repro.sweep.orchestrator import run_point, run_sweep
-from repro.sweep.registry import get_experiment
+from repro.sweep.study import get_study
 
-SMOKE_POINTS = get_experiment("smoke").points
+SMOKE_POINTS = get_study("smoke").points
 
 
 def strip_meta(artifact: dict) -> dict:
@@ -438,7 +438,7 @@ class TestSweepCli:
 
     def test_registry_grids_are_well_formed(self):
         for name in ("fig8", "fig9", "fig11", "fig12", "smoke"):
-            points = get_experiment(name).points(max_epochs=1.0)
+            points = get_study(name).points(max_epochs=1.0)
             assert points, name
             for point in points:
                 assert point.experiment == name
@@ -446,7 +446,7 @@ class TestSweepCli:
         # the headline grid: fig11 crosses the paper's ~300-worker ceiling
         fig11_faas = [
             p.config_kwargs["workers"]
-            for p in get_experiment("fig11").points()
+            for p in get_study("fig11").points()
             if p.tags == {"series": "lr/higgs", "system": "faas"}
         ]
         assert max(fig11_faas) >= 512
@@ -464,7 +464,7 @@ class TestSweepCli:
 
     def test_grid_hashes_are_unique(self):
         for name in ("fig8", "fig9", "fig11", "fig12", "smoke"):
-            points = get_experiment(name).points()
+            points = get_study(name).points()
             hashes = [p.hash() for p in points]
             assert len(set(hashes)) == len(hashes), name
 
